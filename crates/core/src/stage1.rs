@@ -7,8 +7,8 @@
 //!
 //! The paper's two variants, plus one extension:
 //!
-//! * **BTO** (Basic Token Ordering) — two jobs: (1) classic word-count with
-//!   a combiner; (2) a sort job that swaps `(token, count)` to
+//! * **BTO** (Basic Token Ordering) — two jobs: (1) classic word-count;
+//!   (2) a sort job that swaps `(token, count)` to
 //!   `(count, token)` keys and funnels everything through a single reducer,
 //!   whose output is the totally ordered token list.
 //! * **OPTO** (One-Phase Token Ordering) — one job: same counting map side,
@@ -18,12 +18,18 @@
 //!   range partitioner so the sort runs on many reducers yet still yields
 //!   one total order, removing the single-reducer bottleneck the paper
 //!   measures.
+//!
+//! All three count with in-mapper combining (Lin & Dyer, *Data-Intensive
+//! Text Processing with MapReduce*, ch. 3) instead of the paper's combiner:
+//! a map task emits one `(token, count)` per distinct token it saw, not one
+//! `(token, 1)` per occurrence, so nothing is left for a combiner to do.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mapreduce::{
-    range_partitioner, sample_boundaries, seq_input, sum_combiner, text_input, ByteReader, Cluster,
-    Codec, Dfs, Emit, Job, Mapper, MrError, PipelineMetrics, Reducer, Result, TaskContext,
+    range_partitioner, sample_boundaries, seq_input, text_input, ByteReader, Cluster, Codec, Dfs,
+    Emit, Job, Mapper, MrError, PipelineMetrics, Reducer, Result, TaskContext,
 };
 
 use crate::config::{BadRecordPolicy, JoinConfig, RecordFormat, Stage1Algo, TokenizerKind};
@@ -31,12 +37,19 @@ use crate::recovery::{self, Recovery};
 use crate::tokenizer_cache::CachedTokenizer;
 
 /// Mapper shared by BTO job 1 and OPTO: parse the record, tokenize the join
-/// attribute, and emit `(token, 1)`.
+/// attribute, and count tokens per task, emitting `(token, count)` once per
+/// distinct token in `cleanup`.
+///
+/// The counts are charged to the task's memory gauge. When the budget cannot
+/// hold another token the counts so far are flushed downstream and counting
+/// starts over; the sum reducers add up the repeated keys.
 #[derive(Clone)]
 pub struct TokenCountMapper {
     format: RecordFormat,
     tokenizer: CachedTokenizer,
     bad_records: BadRecordPolicy,
+    counts: HashMap<String, u64>,
+    charged: u64,
 }
 
 impl TokenCountMapper {
@@ -55,7 +68,19 @@ impl TokenCountMapper {
             format,
             tokenizer: CachedTokenizer::new(tokenizer),
             bad_records,
+            counts: HashMap::new(),
+            charged: 0,
         }
+    }
+
+    /// Emit every held count and release its memory charge.
+    fn flush(&mut self, out: &mut dyn Emit<String, u64>, ctx: &TaskContext) -> Result<()> {
+        for (token, n) in self.counts.drain() {
+            out.emit(token, n)?;
+        }
+        ctx.memory().release(self.charged);
+        self.charged = 0;
+        Ok(())
     }
 }
 
@@ -78,9 +103,28 @@ impl Mapper for TokenCountMapper {
         };
         ctx.counter("stage1.records").incr();
         for token in self.tokenizer.tokenize(&attr) {
-            out.emit(token, 1)?;
+            if let Some(n) = self.counts.get_mut(&token) {
+                *n += 1;
+                continue;
+            }
+            let bytes = token.len() as u64 + 32;
+            if ctx.memory().available() < bytes {
+                self.flush(out, ctx)?;
+                if ctx.memory().available() < bytes {
+                    // Not even one count fits: pass the occurrence through.
+                    out.emit(token, 1)?;
+                    continue;
+                }
+            }
+            ctx.memory().charge(bytes)?;
+            self.charged += bytes;
+            self.counts.insert(token, 1);
         }
         Ok(())
+    }
+
+    fn cleanup(&mut self, out: &mut dyn Emit<String, u64>, ctx: &TaskContext) -> Result<()> {
+        self.flush(out, ctx)
     }
 }
 
@@ -140,17 +184,13 @@ impl Reducer for EmitTokenReducer {
     fn reduce(
         &mut self,
         key: &(u64, String),
-        values: &mut dyn Iterator<Item = ((u64, String), ())>,
+        _values: &mut dyn Iterator<Item = ((u64, String), ())>,
         out: &mut dyn Emit<String, ()>,
         _ctx: &TaskContext,
     ) -> Result<()> {
-        // Duplicate tokens cannot occur (job 1 reduced per token), but drain
-        // defensively.
-        let n = values.count().max(1);
-        for _ in 0..n {
-            out.emit(key.1.clone(), ())?;
-        }
-        Ok(())
+        // Job 1 reduced per token, so each token arrives in exactly one
+        // `(count, token)` key and the group holds that single record.
+        out.emit(key.1.clone(), ())
     }
 }
 
@@ -307,7 +347,6 @@ fn bto_count_job(
 ) -> Result<Job<TokenCountMapper, SumReducer>> {
     Ok(Job::new("stage1-bto-count", mapper, SumReducer)
         .inputs(text_input(dfs, input)?)
-        .combiner(sum_combiner())
         .output_seq(output))
 }
 
@@ -406,7 +445,6 @@ pub fn run_with(
             } else {
                 let job = Job::new("stage1-opto", mapper, OptoReducer::default())
                     .inputs(text_input(cluster.dfs(), input)?)
-                    .combiner(sum_combiner())
                     .reducers(1)
                     .output_text(&tokens_path, Arc::new(|k: &String, _v: &()| k.clone()))
                     .fingerprint(fp);
@@ -421,7 +459,6 @@ pub fn run_with(
             } else {
                 let job1 = Job::new("stage1-btor-count", mapper, SumReducer)
                     .inputs(text_input(cluster.dfs(), input)?)
-                    .combiner(sum_combiner())
                     .output_seq(&counts_path)
                     .fingerprint(fp1);
                 metrics.push(cluster.run(job1)?);
@@ -560,6 +597,76 @@ mod tests {
         assert_eq!(tokens, expected);
         // Output spans multiple part files.
         assert!(c.dfs().data_files(&path).len() > 1);
+    }
+
+    /// 1,830 records over 61 distinct tokens: `tokNN` occurs NN + 1 times,
+    /// `x` in every record. Round `r` holds `tok{r}`..`tok59`, so
+    /// neighbouring records, and hence every map task, see many tokens.
+    fn write_dictionary(cluster: &Cluster) -> u64 {
+        let mut lines = Vec::new();
+        for round in 0..60 {
+            for i in round..60 {
+                lines.push(format!("{}\ttok{i:02}\tx\t", lines.len() + 1));
+            }
+        }
+        cluster.dfs().write_text("/big", &lines).unwrap();
+        2 * lines.len() as u64
+    }
+
+    fn tokens_with(task_memory: Option<u64>, algo: Stage1Algo) -> (Vec<String>, PipelineMetrics) {
+        let mut cc = ClusterConfig::with_nodes(3);
+        cc.task_memory = task_memory;
+        let c = Cluster::new(cc, 512).unwrap();
+        write_dictionary(&c);
+        let (path, m) = run(&c, "/big", &config(algo), "/w").unwrap();
+        (c.dfs().read_text(&path).unwrap(), m)
+    }
+
+    #[test]
+    fn count_mapper_flushes_under_a_small_budget() {
+        let (opto, _) = tokens_with(None, Stage1Algo::Opto);
+        for algo in [Stage1Algo::Bto, Stage1Algo::BtoRange] {
+            let (free, m_free) = tokens_with(None, algo);
+            assert_eq!(free, opto, "{algo:?}");
+            let free_records = m_free.jobs[0].map_output_records;
+
+            // 120 bytes hold three counts, so every task flushes repeatedly.
+            let (tight, m) = tokens_with(Some(120), algo);
+            assert_eq!(tight, free, "{algo:?} with a 120-byte budget");
+            let count = &m.jobs[0];
+            assert!(
+                count.map_output_records > free_records + 2 * count.map.tasks as u64,
+                "{algo:?}: {} records vs {free_records} unconstrained",
+                count.map_output_records
+            );
+
+            // 10 bytes hold no count: every occurrence passes straight through.
+            let (none, m) = tokens_with(Some(10), algo);
+            assert_eq!(none, free, "{algo:?} with a 10-byte budget");
+            assert_eq!(m.jobs[0].map_output_records, 2 * 1830);
+        }
+    }
+
+    #[test]
+    fn count_job_emits_once_per_distinct_token_per_task() {
+        let c = cluster();
+        let occurrences = write_dictionary(&c);
+        let (_, m) = run(&c, "/big", &config(Stage1Algo::Bto), "/w").unwrap();
+        let count = &m.jobs[0];
+        assert!(count.map.tasks > 1);
+        assert!(count.map_output_records <= 61 * count.map.tasks as u64);
+        assert!(count.map_output_records < occurrences);
+
+        // One split: exactly one record per distinct token.
+        let one = Cluster::new(ClusterConfig::with_nodes(3), 1 << 20).unwrap();
+        write_dictionary(&one);
+        let (_, m) = run(&one, "/big", &config(Stage1Algo::Bto), "/w").unwrap();
+        assert_eq!(m.jobs[0].map.tasks, 1);
+        assert_eq!(m.jobs[0].map_output_records, 61);
+        assert_eq!(
+            m.jobs[0].combine_input_records, 0,
+            "stage 1 has no combiner"
+        );
     }
 
     #[test]

@@ -100,14 +100,18 @@ pub struct PpjoinIndex {
     /// (the R-S case); self-joins use the index prefix.
     index_full_prefix: bool,
     approx_bytes: u64,
-    /// Scratch: candidate overlap accumulator (record idx -> state).
-    scratch: HashMap<u32, CandState>,
+    /// Candidate overlap accumulator, one slot per record index. A slot
+    /// with `overlap == 0` is untouched; every probe resets the slots it
+    /// touched before returning.
+    cands: Vec<CandState>,
+    /// Record indices whose `cands` slot the current probe touched.
+    touched: Vec<u32>,
     /// Running count of candidates that reached the accumulator across all
     /// probes (before positional/suffix pruning).
     candidates_examined: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct CandState {
     overlap: u32,
     /// Position after the last matched token in the probe (x) and indexed
@@ -148,7 +152,8 @@ impl PpjoinIndex {
             max_len_seen: 0,
             index_full_prefix: full_prefix,
             approx_bytes: 64,
-            scratch: HashMap::new(),
+            cands: Vec::new(),
+            touched: Vec::new(),
             candidates_examined: 0,
         }
     }
@@ -197,7 +202,6 @@ impl PpjoinIndex {
         // Future probes are at least as long as this one, so any stored
         // record below this probe's lower bound can never join again.
         self.evict_below(self.t.lower_bound(lx));
-        self.scratch.clear();
         let probe_len = self.t.probe_prefix_len(lx);
         for (i, &tok) in tokens[..probe_len].iter().enumerate() {
             let Some(list) = self.index.get_mut(&tok) else {
@@ -215,12 +219,10 @@ impl PpjoinIndex {
                 if !self.t.length_compatible(lx, ly) {
                     continue;
                 }
-                let state = self.scratch.entry(rec).or_insert(CandState {
-                    overlap: 0,
-                    last_x: 0,
-                    last_y: 0,
-                    pruned: false,
-                });
+                let state = &mut self.cands[rec as usize];
+                if state.overlap == 0 {
+                    self.touched.push(rec);
+                }
                 if state.pruned {
                     continue;
                 }
@@ -236,16 +238,15 @@ impl PpjoinIndex {
                 }
             }
         }
-        self.candidates_examined += self.scratch.len() as u64;
+        self.candidates_examined += self.touched.len() as u64;
         let mut out = Vec::new();
-        let mut cands: Vec<(u32, CandState)> = self
-            .scratch
-            .iter()
-            .filter(|(_, st)| !st.pruned && st.overlap > 0)
-            .map(|(&r, &st)| (r, st))
-            .collect();
-        cands.sort_unstable_by_key(|(r, _)| *r);
-        for (rec, st) in cands {
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        for &rec in &touched {
+            let st = std::mem::take(&mut self.cands[rec as usize]);
+            if st.pruned {
+                continue;
+            }
             let stored = &self.records[rec as usize];
             let y = &stored.tokens;
             let alpha = self.t.overlap_needed(lx, y.len());
@@ -286,6 +287,8 @@ impl PpjoinIndex {
                 });
             }
         }
+        touched.clear();
+        self.touched = touched;
         out
     }
 
@@ -315,6 +318,7 @@ impl PpjoinIndex {
         }
         self.approx_bytes += Self::record_bytes(&tokens) + plen as u64 * 8;
         self.records.push(Stored { rid, tokens });
+        self.cands.push(CandState::default());
     }
 }
 
@@ -447,6 +451,28 @@ mod tests {
         assert_eq!(m1, m2);
         assert_eq!(m1.len(), 1);
         assert_eq!(m1[0].rid, 1);
+    }
+
+    #[test]
+    fn pruned_candidates_leave_no_state_for_the_next_probe() {
+        // Jaccard 0.8 on 5-token sets: the index prefix is one token and a
+        // pair needs an overlap of 5.
+        let t = Threshold::jaccard(0.8);
+        let mut index = PpjoinIndex::new(t, FilterConfig::ppjoin());
+        index.insert(1, vec![1, 2, 3, 4, 5]);
+        index.insert(2, vec![1, 2, 3, 4, 5]);
+        // Token 1 is this probe's second token: at most 1 + 3 tokens can be
+        // shared, so the positional filter prunes both candidates.
+        assert!(index.probe(&[0, 1, 7, 8, 9]).is_empty());
+        assert_eq!(index.candidates_examined(), 2);
+        // A stale pruned flag or overlap would hide these matches.
+        let rids: Vec<u64> = index
+            .probe(&[1, 2, 3, 4, 5])
+            .iter()
+            .map(|m| m.rid)
+            .collect();
+        assert_eq!(rids, vec![1, 2]);
+        assert_eq!(index.candidates_examined(), 4);
     }
 
     #[test]
